@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-trend fuzz-smoke serve fmt vet ci smoke smoke-session smoke-metrics smoke-cluster
+.PHONY: all build test bench bench-json bench-trend fuzz-smoke perfbench-check serve fmt vet ci smoke smoke-session smoke-metrics smoke-cluster
 
 all: build
 
@@ -30,18 +30,17 @@ bench-json:
 # Benchmark trend gate (the CI step): measure the full-size path suite
 # into a throwaway snapshot and fail on a >25% regression of any
 # derived speedup (IncrementalSolve, IncrementalBottleneck,
-# IncrementalBellman, SingleTarget, Landmark, Bidirectional,
-# BottleneckSingleTarget, LandmarkRebuild, AuctionReasonable,
-# SessionAdmit) relative to the committed
-# BENCH_path.json, and on a missing or never-shedding cluster serving
-# pass (cluster_serve). Speedup ratios and the shed contract are
+# IncrementalBellman, SingleTarget, Landmark, BottleneckSingleTarget,
+# LandmarkRebuild, AuctionReasonable, SessionAdmit) relative to the
+# committed BENCH_path.json, and on a missing or never-shedding cluster
+# serving pass (cluster_serve). Speedup ratios and the shed contract are
 # machine-portable; absolute ns/op are not.
 bench-trend:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_path_fresh.json -baseline BENCH_path.json -max-regression 0.25
 
 # Short native-fuzz passes over the path engine's canonical tie-break
 # invariants (the CI step): leximax bottleneck tree properties, the
-# ALT/bidirectional oracle's bit-identity to the plain search, and the
+# ALT landmark oracle's bit-identity to the plain search, and the
 # goal-directed bottleneck search's bit-identity to the plain leximax
 # search and full tree, each against fresh randomly generated (graph,
 # weights, bump-sequence) triples. Go allows one -fuzz target per
@@ -50,6 +49,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBottleneckLeximax$$' -fuzztime=10s ./internal/pathfind/
 	$(GO) test -run='^$$' -fuzz='^FuzzLandmarkOracle$$' -fuzztime=10s ./internal/pathfind/
 	$(GO) test -run='^$$' -fuzz='^FuzzBottleneckALT$$' -fuzztime=10s ./internal/pathfind/
+
+# perfbench/ is a nested module, so the root build, vet and test skip
+# it; this vets and tests it against the current tree (the CI step), so
+# an API change it depends on cannot break it unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 serve:
 	$(GO) run ./cmd/ufpserve
@@ -86,18 +91,19 @@ smoke-session:
 
 # Observability smoke (the CI step): start ufpserve, drive one request
 # through each instrumented subsystem — register + admit for the
-# session layer, the same solve twice for an engine cache hit, and a
-# 64-vertex path network streamed past one landmark staleness window
-# under an unattainable -landmark-stale-ratio so the lifecycle rebuilds
-# at least once — then assert /metrics exposes non-zero counters for
-# the http, session, engine-cache, and landmark-lifecycle subsystems.
+# session layer, the same solve twice for an engine cache hit, and 40
+# admits over a 64-vertex path network, large enough to auto-build
+# shared landmark tables — then assert /metrics exposes non-zero
+# counters for the http, session, engine-cache and landmark-registry
+# subsystems, and a landmark rebuild counter that is exported and stays
+# 0 (prices only rise, so the tables are never rebuilt).
 # One shell invocation so the EXIT trap always reaps the background
 # server.
 smoke-metrics: SHELL := /bin/bash
 smoke-metrics: .SHELLFLAGS := -o pipefail -c
 smoke-metrics:
 	$(GO) build -o /tmp/ufpserve-smoke ./cmd/ufpserve
-	/tmp/ufpserve-smoke -addr 127.0.0.1:18080 -landmark-stale-ratio 0.99 & \
+	/tmp/ufpserve-smoke -addr 127.0.0.1:18080 & \
 	trap 'kill $$! 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
 		curl -sf 127.0.0.1:18080/v1/readyz > /dev/null && break; sleep 0.1; \
@@ -124,7 +130,7 @@ smoke-metrics:
 	grep -Eq '^ufp_http_requests_total\{.*\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_session_admits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_engine_cache_hits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
-	grep -Eq '^ufp_pathcache_landmark_rebuilds_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
+	grep -q '^ufp_pathcache_landmark_rebuilds_total 0$$' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_pathcache_landmark_registry_lookups_total\{result="miss"\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	echo "metrics exposition smoke: ok"
 
@@ -167,4 +173,4 @@ smoke-cluster:
 	grep -q '^ufp_shard_misrouted_total 0$$' /tmp/cluster-metrics-1.txt; \
 	echo "cluster smoke: ok"
 
-ci: fmt vet build test bench fuzz-smoke smoke smoke-session smoke-metrics smoke-cluster
+ci: fmt vet build test bench fuzz-smoke perfbench-check smoke smoke-session smoke-metrics smoke-cluster

@@ -580,11 +580,8 @@ func runSession(out io.Writer, cfg sessionBenchConfig) error {
 			info.OracleSearches, info.OraclePruneRatio*100)
 	}
 	if info.LandmarkRebuilds > 0 {
-		fmt.Fprintf(out, "  landmark rebuilds  %d (stale tables re-selected against current prices)\n",
+		fmt.Fprintf(out, "  landmark rebuilds  %d (tables rebuilt after a lower-bound violation)\n",
 			info.LandmarkRebuilds)
-	}
-	if info.BidiProbes > 0 {
-		fmt.Fprintf(out, "  bidi probes        %d (%d met)\n", info.BidiProbes, info.BidiMeets)
 	}
 	if info.PolicyTree+info.PolicySingle > 0 {
 		fmt.Fprintf(out, "  refresh policy     %d tree / %d single decisions\n",

@@ -10,18 +10,19 @@
 //
 //	ufpserve [-addr :8080] [-workers 0] [-solve-workers 1] [-cache 1024]
 //	         [-eps 0.25] [-timeout 60s] [-max-sessions 64] [-session-ttl 0]
-//	         [-policy-warmup 0] [-policy-cost-ratio 0] [-landmark-stale-ratio 0]
+//	         [-policy-warmup 0] [-policy-cost-ratio 0]
 //	         [-log-format text|json] [-pprof-addr ""]
 //	         [-shards 1] [-block-on-full]
 //	         [-route -peers http://a:8080,http://b:8080 -self 0]
 //
 // Session oracle tuning: -policy-warmup and -policy-cost-ratio tune the
-// adaptive refresh policy of every session's path cache, and
-// -landmark-stale-ratio tunes the landmark lifecycle — when a session's
-// recent oracle searches prune less than this fraction of the full-tree
-// budget, its landmark tables are re-selected against the current
-// prices (0 = built-in default, negative = never rebuild). All three
-// move work, never results: admissions are identical at any setting.
+// adaptive refresh policy of every session's path cache. Both move
+// work, never results: admissions are identical at any setting.
+// Sessions on networks of 64 or more vertices prune their path searches
+// with ALT landmark tables built once from the initial prices and
+// shared by every session and shard on the same topology; prices only
+// rise, so the tables stay valid and are never rebuilt in normal
+// operation.
 //
 // Scale-out: -shards N fronts N independent engine/session backends
 // with an in-process bounded-load consistent-hash router (jobs route by
@@ -113,7 +114,6 @@ func run(args []string, logw io.Writer) error {
 		sessionTTL   = fs.Duration("session-ttl", 0, "expire sessions idle longer than this (0 = never)")
 		policyWarmup = fs.Int("policy-warmup", 0, "adaptive refresh policy warm-up demand count (0 = default, negative = none)")
 		policyCost   = fs.Float64("policy-cost-ratio", 0, "adaptive refresh policy dirty-rate threshold (0 = default, negative = zero)")
-		staleRatio   = fs.Float64("landmark-stale-ratio", 0, "rebuild a session's landmark tables when its oracle's windowed prune ratio falls below this (0 = default, negative = never rebuild)")
 		logFormat    = fs.String("log-format", "text", "structured request log format: text|json")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		shards       = fs.Int("shards", 1, "engine/session backends behind the in-process consistent-hash router (each gets its own worker pool, queue, cache, and sessions)")
@@ -156,16 +156,15 @@ func run(args []string, logw io.Writer) error {
 	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{
 		Shards: *shards,
 		Engine: truthfulufp.EngineConfig{
-			Workers:            *workers,
-			SolveWorkers:       *solveWorkers,
-			CacheSize:          *cache,
-			QueueDepth:         *queue,
-			BlockOnFull:        *block,
-			MaxSessions:        *maxSessions,
-			SessionTTL:         *sessionTTL,
-			PolicyWarmup:       *policyWarmup,
-			PolicyCostRatio:    *policyCost,
-			LandmarkStaleRatio: *staleRatio,
+			Workers:         *workers,
+			SolveWorkers:    *solveWorkers,
+			CacheSize:       *cache,
+			QueueDepth:      *queue,
+			BlockOnFull:     *block,
+			MaxSessions:     *maxSessions,
+			SessionTTL:      *sessionTTL,
+			PolicyWarmup:    *policyWarmup,
+			PolicyCostRatio: *policyCost,
 		},
 		IDPrefix: nodePrefix,
 	})

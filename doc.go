@@ -111,23 +111,20 @@
 // recomputed. Single-target queries run on a goal-directed oracle
 // (Scratch.ShortestPathTo / Incremental.PathTo) instead of whole trees,
 // accelerated by ALT landmark A* (tables whose lower bounds monotone
-// price increases never undercut), bidirectional meet-in-the-middle
-// probes over the frozen reverse CSR, minimax landmark tables that
+// price increases never undercut), minimax landmark tables that
 // goal-direct bottleneck (KindBottleneck) queries, and an adaptive
 // per-source policy that watches observed dirty rates and target
 // fan-out to choose tree rebuilds versus oracle queries
-// (Options.Adaptive / Landmarks / Bidirectional); the mechanism's
-// payment bisection enables them automatically. The landmark tables
-// live a build → slack → rebuild lifecycle: built at registration,
-// their pruning power decays as prices drift above the snapshot, and
-// the oracle re-selects them against current prices when the observed
-// prune ratio slacks below a staleness threshold (or when a
-// bound-violating caller spends the violation budget) — valid at any
-// moment because today's prices lower-bound all future ones. One
-// immutable table set per topology is shared process-wide through
-// pathfind.SharedLandmarks (engine shards, mechanism bisection
-// probes); staleness rebuilds stay session-private since they snapshot
-// one session's prices. Cached answers
+// (Options.Adaptive / Landmarks); the mechanism's payment bisection
+// enables them automatically. Each oracle miss runs one search: ALT
+// when tables exist, the plain early-exit search otherwise. The
+// landmark tables are built once from the floor prices 1/c_e, which
+// lower-bound every later price, and one immutable table set per
+// topology is shared process-wide through pathfind.SharedLandmarks
+// (sessions, engine shards, mechanism bisection probes). Only a weight
+// below its recorded bound — a caller breaking the monotone contract —
+// rebuilds a cache's tables against the current prices, and past a
+// fixed violation budget disables them. Cached answers
 // are bit-identical to recomputation (every kind's tie-break is
 // canonical, and each acceleration provably preserves it), so the
 // solvers' allocations do not depend on caching;

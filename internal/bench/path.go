@@ -291,13 +291,12 @@ func unfrozen(g *graph.Graph) *graph.Graph {
 //     kind-generic cache) with caching off and on.
 //   - IncrementalBellman/{full-recompute,incremental}: the same under
 //     LogHopsRule (KindHopBounded Bellman-Ford tables).
-//   - SingleTarget/{full-tree,early-exit,landmark,bidirectional}: one
-//     (source, target) query answered four ways — a full Dijkstra tree
-//     plus PathTo; the plain early-exit single-target search
-//     (Scratch.ShortestPathTo); the ALT landmark-pruned search
-//     (Scratch.ShortestPathToALT); and the bidirectional probe
-//     (ShortestPathToBidi). The last two are the next-gen oracle the
-//     mechanism's payment bisection runs on; all four return
+//   - SingleTarget/{full-tree,early-exit,landmark}: one (source,
+//     target) query answered three ways — a full Dijkstra tree plus
+//     PathTo; the plain early-exit single-target search
+//     (Scratch.ShortestPathTo); and the ALT landmark-pruned search
+//     (Scratch.ShortestPathToALT), the oracle the mechanism's payment
+//     bisection and the session admits run on. All three return
 //     bit-identical paths.
 //   - BottleneckSingleTarget/{early-exit,landmark}: one bottleneck
 //     (source, target) query on the directed congested-region network
@@ -307,14 +306,14 @@ func unfrozen(g *graph.Graph) *graph.Graph {
 //     potential (BottleneckPathToALT); both return bit-identical
 //     paths, and the potential's strict bounds keep the goal-directed
 //     search out of the dead-end region the plain search floods.
-//   - LandmarkRebuild/{stale,rebuilt}: the landmark lifecycle's payoff —
+//   - LandmarkRebuild/{stale,rebuilt}: what Landmarks.Rebuild buys —
 //     ALT single-target queries under late-session exponential prices
 //     (reconstructed from a genuine twenty-pass ε=1 admit stream over
 //     the waxman-400 long-session network, which reprices most of its
 //     edges) served by the registration-time tables versus tables
 //     re-selected against the evolved prices. Both are correct (stale
 //     bounds stay admissible); the ratio is the pruning power a
-//     staleness rebuild restores.
+//     rebuild against current prices restores.
 //   - AuctionReasonable/{full-recompute,incremental}: the iterative
 //     bundle-min engine (ExpBundleRule) with the dirty-request length
 //     cache off and on — identical selections, the ratio is the cache's
@@ -398,7 +397,6 @@ func PathCases(quick bool) []Case {
 			inst := waxmanInstance(quick)
 			g := inst.G
 			g.Freeze()
-			g.FreezeReverse()
 			// Perturbed prices, as after a few primal-dual iterations: flat
 			// 1/c weights put most vertices on a handful of distance
 			// plateaus, which neuters the early exit's stop condition and
@@ -410,11 +408,10 @@ func PathCases(quick bool) []Case {
 			}
 			weight := pathfind.FromSlice(w)
 			var lm *pathfind.Landmarks
-			if mode == "landmark" || mode == "bidirectional" {
+			if mode == "landmark" {
 				lm = pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, weight)
 			}
 			scratch := pathfind.NewScratch(g.NumVertices())
-			bwd := pathfind.NewScratch(g.NumVertices())
 			var tree *pathfind.Tree
 			reqs := inst.Requests
 			b.ReportAllocs()
@@ -427,8 +424,6 @@ func PathCases(quick bool) []Case {
 					_, _, ok = scratch.ShortestPathTo(g, r.Source, r.Target, weight)
 				case "landmark":
 					_, _, ok = scratch.ShortestPathToALT(g, r.Source, r.Target, weight, lm)
-				case "bidirectional":
-					_, _, ok = pathfind.ShortestPathToBidi(g, r.Source, r.Target, weight, lm, scratch, bwd)
 				default: // full-tree
 					tree = scratch.Dijkstra(g, r.Source, weight, tree)
 					_, ok = tree.PathTo(r.Target)
@@ -446,9 +441,8 @@ func PathCases(quick bool) []Case {
 			weight := pathfind.FromSlice(net.w)
 			var lm *pathfind.Landmarks
 			if mode == "landmark" {
-				// Tables on the congested snapshot — what a staleness
-				// rebuild hands a long-lived session after the region
-				// repriced.
+				// Tables on the congested snapshot, as a build after
+				// the region repriced would hold.
 				lm = pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, weight).WithBottleneck(g)
 			}
 			scratch := pathfind.NewScratch(g.NumVertices())
@@ -575,7 +569,6 @@ func PathCases(quick bool) []Case {
 		{"SingleTarget/full-tree", singleTarget("full-tree")},
 		{"SingleTarget/early-exit", singleTarget("early-exit")},
 		{"SingleTarget/landmark", singleTarget("landmark")},
-		{"SingleTarget/bidirectional", singleTarget("bidirectional")},
 		{"BottleneckSingleTarget/early-exit", bottleneckSingle("early-exit")},
 		{"BottleneckSingleTarget/landmark", bottleneckSingle("landmark")},
 		{"LandmarkRebuild/stale", landmarkRebuild(false)},
@@ -648,9 +641,6 @@ type Snapshot struct {
 	// LandmarkSpeedup is early-exit ns/op over landmark ns/op: what ALT
 	// lower-bound pruning adds on top of the plain early-exit search.
 	LandmarkSpeedup float64 `json:"landmark_speedup,omitempty"`
-	// BidiSpeedup is early-exit ns/op over bidirectional ns/op: the
-	// two-frontier probe's win on the same queries.
-	BidiSpeedup float64 `json:"bidi_speedup,omitempty"`
 	// BottleneckSingleTargetSpeedup is bottleneck early-exit ns/op over
 	// goal-directed (minimax-landmark) ns/op for one bottleneck
 	// (source, target) query on the congested-region network — what the
@@ -659,8 +649,7 @@ type Snapshot struct {
 	BottleneckSingleTargetSpeedup float64 `json:"bottleneck_single_target_speedup,omitempty"`
 	// LandmarkRebuildSpeedup is stale-table ns/op over rebuilt-table
 	// ns/op for ALT queries under late-session prices: the pruning power
-	// a staleness rebuild restores to a long-lived session (the landmark
-	// lifecycle's ≥1.3× target).
+	// Landmarks.Rebuild against current prices restores.
 	LandmarkRebuildSpeedup float64 `json:"landmark_rebuild_speedup,omitempty"`
 	// AuctionSpeedup is full-recompute ns/op over incremental ns/op for
 	// the iterative bundle-min engine — the dirty-request length cache's
@@ -845,10 +834,11 @@ func measureClusterServe(quick bool) (*ClusterServe, error) {
 	slow := slowGridInstance(quick)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	burst := 4 * shards
 	var pinned sync.WaitGroup
-	for i := 0; i < 2*shards; i++ {
-		// Distinct request prefixes make distinct fingerprints; 2x shards
-		// of them pin every worker and overflow into the queue slots.
+	pin := func(i int) {
+		// Distinct request prefixes make distinct fingerprints; the
+		// burst below uses the shortest prefixes, the pins the longest.
 		job := engine.Job{Algorithm: "ufp/bounded", Eps: 0.1,
 			UFP: &core.Instance{G: slow.G, Requests: slow.Requests[:len(slow.Requests)-i]}}
 		pinned.Add(1)
@@ -857,11 +847,24 @@ func measureClusterServe(quick bool) (*ClusterServe, error) {
 			_, _ = sr.Do(ctx, job)
 		}()
 	}
+	// 2x shards pins fill every worker and queue slot when the ring
+	// spreads them evenly. Its bounded-load rule may instead send a
+	// third pin to a full shard, which sheds it, so once every pin is
+	// placed or shed, top up with one fresh pin at a time.
+	pins := 2 * shards
+	for i := 0; i < pins; i++ {
+		pin(i)
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := sr.Snapshot()
 		if int(snap.BusyWorkers) >= shards && snap.QueueDepth >= shards {
 			break
+		}
+		settled := int(snap.BusyWorkers) + snap.QueueDepth + int(snap.Shed)
+		if settled >= pins && pins < len(slow.Requests)-burst {
+			pin(pins)
+			pins++
 		}
 		if time.Now().After(deadline) {
 			cancel()
@@ -871,7 +874,7 @@ func measureClusterServe(quick bool) (*ClusterServe, error) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	burst := 4 * shards
+	shedBefore := sr.Snapshot().Shed
 	var burstWG sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		job := engine.Job{Algorithm: "ufp/bounded", Eps: 0.1,
@@ -883,7 +886,7 @@ func measureClusterServe(quick bool) (*ClusterServe, error) {
 		}()
 	}
 	burstWG.Wait()
-	shed := sr.Snapshot().Shed
+	shed := sr.Snapshot().Shed - shedBefore
 	cancel()
 	pinned.Wait()
 	if shed <= 0 {
@@ -923,9 +926,6 @@ var speedups = []struct {
 	{"Landmark", func(s *Snapshot, v float64) { s.LandmarkSpeedup = v },
 		func(s Snapshot) float64 { return s.LandmarkSpeedup },
 		"SingleTarget/early-exit", "SingleTarget/landmark"},
-	{"Bidirectional", func(s *Snapshot, v float64) { s.BidiSpeedup = v },
-		func(s Snapshot) float64 { return s.BidiSpeedup },
-		"SingleTarget/early-exit", "SingleTarget/bidirectional"},
 	{"BottleneckSingleTarget", func(s *Snapshot, v float64) { s.BottleneckSingleTargetSpeedup = v },
 		func(s Snapshot) float64 { return s.BottleneckSingleTargetSpeedup },
 		"BottleneckSingleTarget/early-exit", "BottleneckSingleTarget/landmark"},
@@ -998,8 +998,8 @@ func ReadJSON(r io.Reader) (Snapshot, error) {
 
 // Compare is the CI trend gate: it fails when any derived speedup the
 // baseline carries — IncrementalSolve, IncrementalBottleneck,
-// IncrementalBellman, SingleTarget, Landmark, Bidirectional,
-// AuctionReasonable, SessionAdmit — has regressed more than
+// IncrementalBellman, SingleTarget, Landmark, BottleneckSingleTarget,
+// LandmarkRebuild, AuctionReasonable, SessionAdmit — has regressed more than
 // maxRegression (a fraction, e.g. 0.25) relative to the baseline.
 // Ratios absent from the baseline (older snapshots predating a pair)
 // are skipped, so the gate tightens as snapshots are refreshed.

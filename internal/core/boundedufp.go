@@ -80,20 +80,10 @@ type Options struct {
 	// session or per shard. The serving stack passes
 	// pathfind.SharedLandmarks.
 	LandmarkRegistry *pathfind.LandmarkRegistry
-	// LandmarkStaleRatio tunes the landmark lifecycle's prune-ratio
-	// rebuild threshold (see pathfind.OracleConfig.StalePruneRatio).
-	// Zero keeps pathfind.DefaultStalePruneRatio; negative disables
-	// prune-driven rebuilds.
-	LandmarkStaleRatio float64
 	// OnLandmarkRebuild, if non-nil, observes every landmark rebuild
 	// with its duration in seconds (see pathfind.OracleConfig.OnRebuild)
 	// — the monotone-counter hook the session metrics feed on.
 	OnLandmarkRebuild func(seconds float64)
-	// Bidirectional routes single-target oracle misses through the
-	// bidirectional probe (meet-in-the-middle plus a potential-guided
-	// forward rerun) — the mechanism's critical-value bisection enables
-	// this for its probe re-solves.
-	Bidirectional bool
 	// PolicyWarmup tunes the adaptive refresh policy's warm-up demand
 	// count (see pathfind.OracleConfig.PolicyWarmup). Zero keeps
 	// pathfind.DefaultPolicyWarmup; negative means no warm-up. Only
@@ -152,8 +142,6 @@ func (o *Options) landmarks() *pathfind.Landmarks {
 	return o.Landmarks
 }
 
-func (o *Options) bidirectional() bool { return o != nil && o.Bidirectional }
-
 func (o *Options) policyWarmup() int {
 	if o == nil {
 		return 0
@@ -175,13 +163,6 @@ func (o *Options) landmarkRegistry() *pathfind.LandmarkRegistry {
 	return o.LandmarkRegistry
 }
 
-func (o *Options) landmarkStaleRatio() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.LandmarkStaleRatio
-}
-
 func (o *Options) onLandmarkRebuild() func(float64) {
 	if o == nil {
 		return nil
@@ -190,15 +171,13 @@ func (o *Options) onLandmarkRebuild() func(float64) {
 }
 
 // oracleConfig assembles the single-target oracle configuration the
-// options describe (landmarks and bidirectional probes for additive
-// caches, adaptive-policy and staleness knobs for every kind).
+// options describe (landmarks for the tree caches, adaptive-policy
+// knobs and the rebuild hook for every kind).
 func (o *Options) oracleConfig(lm *pathfind.Landmarks) pathfind.OracleConfig {
 	return pathfind.OracleConfig{
 		Landmarks:       lm,
-		Bidirectional:   o.bidirectional(),
 		PolicyWarmup:    o.policyWarmup(),
 		PolicyCostRatio: o.policyCostRatio(),
-		StalePruneRatio: o.landmarkStaleRatio(),
 		OnRebuild:       o.onLandmarkRebuild(),
 	}
 }

@@ -123,18 +123,15 @@ const autoLandmarkMinVertices = 64
 // (0,1]; opt supplies the shared scratch pool, the NoIncremental
 // escape hatch, and the path-oracle knobs: Options.Landmarks installs
 // caller-built ALT tables (they must lower-bound the initial prices
-// 1/c_e), Options.Bidirectional routes oracle misses through the
-// bidirectional probe. When no tables are supplied, networks of
+// 1/c_e). When no tables are supplied, networks of
 // autoLandmarkMinVertices or more vertices get tables built from the
 // initial prices automatically — prices only rise, so the bounds hold
-// for the state's whole life — shared through Options.LandmarkRegistry
-// when one is configured. The landmark lifecycle keeps long sessions
-// fast: once the oracle's observed prune ratio decays below the
-// staleness threshold (Options.LandmarkStaleRatio), the tables are
-// rebuilt against the current prices (Options.OnLandmarkRebuild
-// observes each rebuild). Other Options fields are ignored — admission
-// is a single-query step with no intra-step parallelism or tie-break
-// surface.
+// for the state's whole life and the tables are never rebuilt — shared
+// through Options.LandmarkRegistry when one is configured. Only a
+// weight below its recorded bound (a broken price contract) rebuilds
+// them (Options.OnLandmarkRebuild observes each rebuild). Other
+// Options fields are ignored — admission is a single-query step with no
+// intra-step parallelism or tie-break surface.
 func NewAdmissionState(g *graph.Graph, eps float64, opt *Options) (*AdmissionState, error) {
 	if g == nil {
 		return nil, errors.New("core: admission state needs a graph")

@@ -249,3 +249,33 @@ func TestOnlineAdmissionCtxCancel(t *testing.T) {
 		t.Fatal("cancelled context did not abort OnlineAdmissionCtx")
 	}
 }
+
+// TestAdmissionLandmarksNeverRebuildUnderMonotonePrices: landmark
+// tables auto-built from the initial prices lower-bound every later
+// price, so a long admit stream keeps them as built. On a 64-vertex
+// directed path every admit is an oracle search that prunes nothing,
+// the regime where a prune-ratio trigger would rebuild for no gain.
+func TestAdmissionLandmarksNeverRebuildUnderMonotonePrices(t *testing.T) {
+	const n = 64
+	g := graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		g.AddEdge(v, v+1, 30)
+	}
+	st, err := core.NewAdmissionState(g, 0.25, nil)
+	if err != nil {
+		t.Fatalf("NewAdmissionState: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		d, err := st.Admit(core.Request{Source: 0, Target: n - 1, Demand: 0.01, Value: 1e6})
+		if err != nil || !d.Admitted {
+			t.Fatalf("admit %d = %+v, %v; want admitted", i, d, err)
+		}
+	}
+	cs := st.CacheStats()
+	if cs.AltSearches == 0 {
+		t.Fatalf("landmarks were not auto-built on a %d-vertex network: %+v", n, cs)
+	}
+	if cs.LandmarkRebuilds != 0 || cs.LandmarkViolations != 0 {
+		t.Fatalf("monotone prices must never rebuild or violate the tables: %+v", cs)
+	}
+}

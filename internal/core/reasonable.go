@@ -40,9 +40,6 @@ type State struct {
 	// Landmarks builds ALT landmark tables for the additive tree caches'
 	// single-target searches (see EngineOptions.Landmarks).
 	Landmarks bool
-	// Bidirectional routes the caches' single-target misses through the
-	// bidirectional probe (see EngineOptions.Bidirectional).
-	Bidirectional bool
 	// PolicyWarmup / PolicyCostRatio tune the caches' adaptive refresh
 	// policy (see EngineOptions; zero keeps the pathfind defaults).
 	PolicyWarmup    int
@@ -198,7 +195,6 @@ func (c *treeCache) prepare(st *State, weightOf func(demand float64) pathfind.We
 			}
 			inc.SetOracle(pathfind.OracleConfig{
 				Landmarks:       lm,
-				Bidirectional:   st.Bidirectional,
 				PolicyWarmup:    st.PolicyWarmup,
 				PolicyCostRatio: st.PolicyCostRatio,
 			})
@@ -603,9 +599,6 @@ type EngineOptions struct {
 	// rules, minimax bounds for the bottleneck rule. Valid because
 	// within-run weights only rise; answers stay bit-identical.
 	Landmarks bool
-	// Bidirectional routes the caches' single-target misses through the
-	// bidirectional (forward+backward) probe; bit-identical answers.
-	Bidirectional bool
 	// PolicyWarmup tunes the adaptive refresh policy's warm-up demand
 	// count (see pathfind.OracleConfig.PolicyWarmup). Zero keeps
 	// pathfind.DefaultPolicyWarmup; negative means no warm-up.
@@ -665,7 +658,6 @@ func iterativePathMin(ctx context.Context, inst *Instance, opt EngineOptions) (*
 		NoIncremental:   opt.NoIncremental,
 		Adaptive:        opt.Adaptive,
 		Landmarks:       opt.Landmarks,
-		Bidirectional:   opt.Bidirectional,
 		PolicyWarmup:    opt.PolicyWarmup,
 		PolicyCostRatio: opt.PolicyCostRatio,
 		Pool:            pool,

@@ -107,8 +107,8 @@ func (g *Graph) Frozen() *CSR { return g.csr.Load() }
 
 // FreezeReverse builds (once) the reverse CSR adjacency — the arcs
 // *entering* each vertex, with edge IDs preserved — and returns it.
-// Backward searches (bidirectional single-target probes) traverse it in
-// place of per-query reversal. For an undirected graph the adjacency is
+// The landmark tables' backward searches (distances *to* each landmark)
+// traverse it in place of per-query reversal. For an undirected graph the adjacency is
 // symmetric, so the forward CSR itself is returned. Like Freeze it is
 // invalidated by topology mutations and safe for concurrent readers.
 func (g *Graph) FreezeReverse() *CSR {
@@ -151,16 +151,6 @@ func (g *Graph) FreezeReverse() *CSR {
 	}
 	g.rcsr.Store(c)
 	return c
-}
-
-// FrozenReverse returns the reverse CSR if FreezeReverse has been
-// called since the last topology mutation, else nil. For an undirected
-// graph it mirrors Frozen.
-func (g *Graph) FrozenReverse() *CSR {
-	if !g.directed {
-		return g.csr.Load()
-	}
-	return g.rcsr.Load()
 }
 
 // unfreeze drops the frozen CSR; every topology mutator calls it.

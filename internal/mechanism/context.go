@@ -33,8 +33,7 @@ func ctxErr(ctx context.Context) error {
 // critical-value search (each probe checks it once per main-loop
 // iteration). A nil ctx adapts the plain, uncancellable call. See
 // BoundedUFPAlg for the probing tunings (shared scratch pool, adaptive
-// single-target oracle, ALT landmarks, bidirectional probes) the
-// adapter applies. The returned algorithm mutates adapter-local cache
+// single-target oracle, ALT landmarks) the adapter applies. The returned algorithm mutates adapter-local cache
 // state and must be driven from one goroutine at a time — which is how
 // the mechanism drivers call it.
 func BoundedUFPAlgCtx(ctx context.Context, eps float64, opt *core.Options) UFPAlgorithm {
@@ -48,7 +47,6 @@ func BoundedUFPAlgCtx(ctx context.Context, eps float64, opt *core.Options) UFPAl
 			o.PathPool = pool
 		}
 		o.Adaptive = true
-		o.Bidirectional = true
 		if o.Landmarks == nil {
 			// Bisection probes are clones sharing one frozen topology, and
 			// every probe's exponential prices start at the same floor

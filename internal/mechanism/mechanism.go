@@ -35,9 +35,8 @@ type UFPAlgorithm func(inst *core.Instance) (*core.Allocation, error)
 // policy (core.Options.Adaptive), ALT landmark pruning with tables
 // built once per frozen topology and shared across all probes
 // (core.Options.Landmarks — every probe's prices start at the same
-// floor 1/c_e, so the bounds hold for all of them), and bidirectional
-// probing for the remaining misses (core.Options.Bidirectional). All
-// tunings are bit-transparent: the adapted algorithm's allocations are
+// floor 1/c_e, so the bounds hold for all of them). All tunings are
+// bit-transparent: the adapted algorithm's allocations are
 // identical to a bare core.BoundedUFP.
 func BoundedUFPAlg(eps float64, opt *core.Options) UFPAlgorithm {
 	return BoundedUFPAlgCtx(nil, eps, opt)

@@ -48,10 +48,10 @@ import (
 // what the mechanism's critical-value bisection and the session API's
 // streamed admits run on — their queries are dominated by sources
 // carrying one or a few requests, for which materializing a whole tree
-// is wasted work. Additive caches can additionally be given a
-// single-target oracle (SetOracle): ALT landmark pruning and/or
-// bidirectional probes, both bit-identical to the plain early-exit
-// search, so flipping them on or off never changes an answer.
+// is wasted work. Tree-kind caches can additionally be given a
+// single-target oracle (SetOracle): ALT landmark pruning, bit-identical
+// to the plain early-exit search, so turning it on or off never changes
+// an answer.
 //
 // An Incremental is driven from one goroutine (Refresh parallelizes
 // internally); the cached structures are owned by the cache and valid
@@ -80,39 +80,21 @@ type Incremental struct {
 	// cached (target, path) entries, most recently used first.
 	pt [][]ptEntry
 
-	// Single-target oracle (KindAdditive, see SetOracle): shared ALT
-	// landmark tables plus the lazily checked lower-bound guard, and the
-	// bidirectional-probe switch. lmPending holds edges invalidated
-	// since the last bound check — under the cache's contract those are
-	// the only edges whose weights may have changed, so draining it
-	// (lmUsable) re-validates the bound at O(changed) instead of
-	// O(edges).
-	lm         *Landmarks
-	lmOK       bool
-	lmCheckAll bool
-	lmPending  []int32
-	bidi       bool
-
-	// Landmark lifecycle (the staleness policy, see OracleConfig): the
-	// cache watches the oracle's prune ratio over fixed-size windows of
-	// searches and rebuilds the tables against the current prices when a
-	// window's ratio falls below lmStaleRatio — monotone repricing makes
-	// any current snapshot a valid lower bound for the rest of the run.
-	// lmBarren counts consecutive rebuilds whose following window stayed
-	// below the threshold (a graph whose searches are inherently
-	// unprunable); at maxBarrenRebuilds the prune-driven trigger pauses
-	// until a window clears the threshold again. Violation-triggered
-	// rebuilds are budgeted separately by lmStaleViol.
-	lmStaleRatio   float64 // window prune-ratio rebuild threshold; < 0 disables
-	lmStaleViol    int     // violation-rebuild budget; < 0 restores disable-on-first
+	// Single-target oracle (tree kinds, see SetOracle): shared ALT
+	// landmark tables plus the lazily checked lower-bound guard.
+	// lmPending holds edges invalidated since the last bound check —
+	// under the cache's contract those are the only edges whose weights
+	// may have changed, so draining it (lmUsable) re-validates the bound
+	// at O(changed) instead of O(edges). A violation rebuilds the tables
+	// against the current weights, up to DefaultStaleViolations times
+	// since SetOracle, then disables them.
+	lm             *Landmarks
+	lmOK           bool
+	lmCheckAll     bool
+	lmPending      []int32
 	onRebuild      func(seconds float64)
-	lmRebuilds     int64 // landmark table rebuilds (prune- or violation-triggered)
+	lmRebuilds     int64 // landmark table rebuilds over the cache's life
 	lmViolRebuilds int   // violation-triggered rebuilds since SetOracle
-	lmWinSearches  int64 // oracle searches in the current staleness window
-	lmWinTouched   int64 // vertices touched by those searches
-	lmWinBudget    int64 // vertices full tree builds would have touched
-	lmBarren       int
-	lmFromRebuild  bool // the current window is the first after a rebuild
 
 	// Per-slot adaptive-policy counters: how often the slot was demanded
 	// (Refresh-active or queried) and how often it was dirty when
@@ -130,11 +112,9 @@ type Incremental struct {
 	ptHits     int64 // PathTo answers served from a fresh tree or cached path
 	ptMisses   int64 // PathTo answers that ran an early-exit search
 
-	altSearches  int64 // single-target searches that ran ALT- or bidi-pruned
+	altSearches  int64 // single-target searches that ran ALT-pruned
 	altTouched   int64 // vertices touched by those searches
 	altBudget    int64 // vertices a full tree build would touch instead
-	bidiProbes   int64 // bidirectional probes run
-	bidiMeets    int64 // probes whose frontiers bridged (reachable target)
 	policyTree   int64 // PreferSingle decisions to refresh the tree
 	policySingle int64 // PreferSingle decisions to route to single-target search
 	lmViolations int64 // landmark lower-bound violations observed
@@ -224,32 +204,12 @@ type OracleConfig struct {
 	// lower bound of every weight function the cache will see; the cache
 	// re-validates the bound lazily against invalidated edges and, if it
 	// is ever violated (counting CacheStats.LandmarkViolations), rebuilds
-	// the tables from the current weights — or self-disables once the
-	// StaleViolations budget is spent — so a contract slip degrades
-	// speed, not answers.
+	// the tables from the current weights — or self-disables once
+	// DefaultStaleViolations rebuilds are spent — so a contract slip
+	// degrades speed, not answers. Under the solvers' monotone prices
+	// the tables are never rebuilt: a snapshot of the initial prices
+	// lower-bounds the whole run.
 	Landmarks *Landmarks
-	// Bidirectional routes PathTo misses through the bidirectional
-	// probe (forward/backward meet plus a potential-guided forward
-	// rerun), which the mechanism's critical-value bisection enables.
-	// KindAdditive only. The graph's reverse adjacency is frozen as a
-	// side effect.
-	Bidirectional bool
-	// StalePruneRatio overrides the staleness policy's rebuild
-	// threshold: after each window of DefaultStaleWindow oracle
-	// searches, if the window's observed prune ratio (1 -
-	// touched/budget) fell below the threshold, the landmark tables are
-	// rebuilt against the current weights — restoring the pruning power
-	// the build-time snapshot has lost to monotone repricing. Zero keeps
-	// DefaultStalePruneRatio; a negative value disables prune-driven
-	// rebuilds.
-	StalePruneRatio float64
-	// StaleViolations overrides the violation-rebuild budget: how many
-	// lower-bound violations may trigger a rebuild (again safe — the
-	// violating weights become the new lower bound) before the oracle
-	// permanently self-disables instead. Zero keeps
-	// DefaultStaleViolations; a negative value restores the historical
-	// disable-on-first-violation behavior.
-	StaleViolations int
 	// OnRebuild, when non-nil, is called after every landmark rebuild
 	// with the rebuild's wall-clock duration in seconds — the serving
 	// stack's hook for monotone rebuild counters and latency histograms.
@@ -269,16 +229,14 @@ type OracleConfig struct {
 }
 
 // SetOracle installs the single-target oracle configuration. The
-// policy and staleness knobs (PolicyWarmup, PolicyCostRatio,
-// StalePruneRatio, StaleViolations, OnRebuild) apply to every tree
-// kind; the oracle proper applies to the tree kinds — ALT landmarks
-// and/or bidirectional probes on KindAdditive, minimax-ALT landmarks
-// on KindBottleneck (a set without the minimax tables is ignored
-// there, as is Bidirectional, which has no bottleneck form).
-// KindHopBounded ignores everything but the policy knobs. Every oracle
-// path is bit-identical to the plain search and the policy only moves
-// work, so SetOracle never invalidates cached state and may be called
-// at any point between queries.
+// policy knobs (PolicyWarmup, PolicyCostRatio) apply to every kind;
+// the landmarks and their OnRebuild hook apply to the tree kinds — ALT
+// landmarks on KindAdditive, minimax-ALT landmarks on KindBottleneck (a
+// set without the minimax tables is ignored there). KindHopBounded
+// ignores everything but the policy knobs. Every oracle path is bit-identical
+// to the plain search and the policy only moves work, so SetOracle
+// never invalidates cached state and may be called at any point
+// between queries.
 func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	inc.policyWarmup = DefaultPolicyWarmup
 	if cfg.PolicyWarmup != 0 {
@@ -287,14 +245,6 @@ func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	inc.policyCostRatio = DefaultPolicyCostRatio
 	if cfg.PolicyCostRatio != 0 {
 		inc.policyCostRatio = math.Max(cfg.PolicyCostRatio, 0)
-	}
-	inc.lmStaleRatio = DefaultStalePruneRatio
-	if cfg.StalePruneRatio != 0 {
-		inc.lmStaleRatio = cfg.StalePruneRatio // negative: no prune-driven rebuilds
-	}
-	inc.lmStaleViol = DefaultStaleViolations
-	if cfg.StaleViolations != 0 {
-		inc.lmStaleViol = cfg.StaleViolations // negative: disable on first violation
 	}
 	inc.onRebuild = cfg.OnRebuild
 	if inc.kind == KindHopBounded {
@@ -311,14 +261,7 @@ func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	inc.lmOK = lm != nil
 	inc.lmCheckAll = false
 	inc.lmPending = inc.lmPending[:0]
-	inc.resetLmWindow()
-	inc.lmBarren = 0
-	inc.lmFromRebuild = false
 	inc.lmViolRebuilds = 0
-	inc.bidi = cfg.Bidirectional && inc.kind == KindAdditive
-	if inc.bidi {
-		inc.g.FreezeReverse()
-	}
 }
 
 // AddSource appends a source vertex to the cache and returns its slot
@@ -616,9 +559,9 @@ func (inc *Incremental) rebuildUses(s int) {
 // tree when the slot is dirty. A fresh tree answers directly; otherwise
 // a cached (target, path) entry still clean under the invalidation
 // bitsets answers (up to ptCapacity targets are cached per slot, LRU);
-// otherwise a single-target search runs — the plain early-exit search,
-// or its ALT-pruned / bidirectional form when SetOracle configured one
-// — and its result is cached with the path's own edge set. Unreachable
+// otherwise a single-target search runs — the ALT-pruned search when
+// SetOracle configured usable landmarks, else the plain early-exit
+// search — and its result is cached with the path's own edge set. Unreachable
 // results are cached with an empty edge set: under monotone weights an
 // unreachable target can never become reachable, so the entry stays
 // valid until InvalidateAll. Like Refresh, PathTo must be driven from
@@ -655,44 +598,22 @@ func (inc *Incremental) PathTo(slot, target int, weight WeightFunc) ([]int, floa
 	var path []int
 	var dist float64
 	var ok bool
+	src := inc.sources[slot]
+	alt := inc.lmUsable(weight)
 	switch {
+	case alt && inc.kind == KindBottleneck:
+		path, dist, ok = sc.BottleneckPathToALT(inc.g, src, target, weight, inc.lm)
+	case alt:
+		path, dist, ok = sc.ShortestPathToALT(inc.g, src, target, weight, inc.lm)
 	case inc.kind == KindBottleneck:
-		if inc.lmUsable(weight) {
-			path, dist, ok = sc.BottleneckPathToALT(inc.g, inc.sources[slot], target, weight, inc.lm)
-			inc.altSearches++
-			inc.altTouched += int64(sc.Touched())
-			inc.altBudget += int64(n)
-			inc.noteOracleSearch(sc.Touched(), n, weight)
-		} else {
-			path, dist, ok = sc.BottleneckPathTo(inc.g, inc.sources[slot], target, weight)
-		}
-	case inc.bidi:
-		var lm *Landmarks
-		if inc.lmUsable(weight) {
-			lm = inc.lm
-		}
-		sc2 := inc.pool.Get(n)
-		var bst bidiStats
-		path, dist, ok, bst = bidiPathTo(inc.g, inc.sources[slot], target, weight, lm, sc, sc2)
-		inc.pool.Put(sc2)
-		inc.bidiProbes++
-		if bst.met {
-			inc.bidiMeets++
-		}
-		inc.altSearches++
-		inc.altTouched += int64(bst.touched)
-		inc.altBudget += int64(n)
-		if lm != nil {
-			inc.noteOracleSearch(bst.touched, n, weight)
-		}
-	case inc.lmUsable(weight):
-		path, dist, ok = sc.ShortestPathToALT(inc.g, inc.sources[slot], target, weight, inc.lm)
+		path, dist, ok = sc.BottleneckPathTo(inc.g, src, target, weight)
+	default:
+		path, dist, ok = sc.ShortestPathTo(inc.g, src, target, weight)
+	}
+	if alt {
 		inc.altSearches++
 		inc.altTouched += int64(sc.Touched())
 		inc.altBudget += int64(n)
-		inc.noteOracleSearch(sc.Touched(), n, weight)
-	default:
-		path, dist, ok = sc.ShortestPathTo(inc.g, inc.sources[slot], target, weight)
 	}
 	inc.pool.Put(sc)
 	inc.recomputed++
@@ -735,15 +656,14 @@ func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 }
 
 // lmViolated reacts to a lower-bound violation. Within the
-// StaleViolations budget the tables are rebuilt against the current
-// weights — trivially a valid lower bound of themselves, so the oracle
-// stays usable and the violation costs one table build; past the
-// budget (or with a negative budget) the tables are permanently
-// disabled, the historical fail-safe. Either way the violation is
-// counted.
+// DefaultStaleViolations budget the tables are rebuilt against the
+// current weights — trivially a valid lower bound of themselves, so the
+// oracle stays usable and the violation costs one table build; past the
+// budget the tables are permanently disabled. Either way the violation
+// is counted.
 func (inc *Incremental) lmViolated(weight WeightFunc) bool {
 	inc.lmViolations++
-	if inc.lmStaleViol >= 0 && inc.lmViolRebuilds < inc.lmStaleViol {
+	if inc.lmViolRebuilds < DefaultStaleViolations {
 		inc.lmViolRebuilds++
 		inc.rebuildLandmarks(weight)
 		return true
@@ -755,8 +675,8 @@ func (inc *Incremental) lmViolated(weight WeightFunc) bool {
 // rebuildLandmarks re-selects and rebuilds the landmark tables against
 // the current weight snapshot (Landmarks.Rebuild — minimax tables
 // included iff the old set had them), clears the pending bound checks
-// (the new lower bound is the current weights), resets the staleness
-// window, and reports the rebuild to the OnRebuild hook.
+// (the new lower bound is the current weights), and reports the rebuild
+// to the OnRebuild hook.
 func (inc *Incremental) rebuildLandmarks(weight WeightFunc) {
 	start := time.Now()
 	inc.lm = inc.lm.Rebuild(inc.g, weight)
@@ -764,46 +684,9 @@ func (inc *Incremental) rebuildLandmarks(weight WeightFunc) {
 	inc.lmCheckAll = false
 	inc.lmPending = inc.lmPending[:0]
 	inc.lmRebuilds++
-	inc.lmFromRebuild = true
-	inc.resetLmWindow()
 	if inc.onRebuild != nil {
 		inc.onRebuild(time.Since(start).Seconds())
 	}
-}
-
-// noteOracleSearch feeds one landmark-pruned search into the staleness
-// window and, at each window boundary, applies the rebuild policy (see
-// OracleConfig.StalePruneRatio).
-func (inc *Incremental) noteOracleSearch(touched, budget int, weight WeightFunc) {
-	if inc.lmStaleRatio < 0 || inc.lm == nil || !inc.lmOK {
-		return
-	}
-	inc.lmWinSearches++
-	inc.lmWinTouched += int64(touched)
-	inc.lmWinBudget += int64(budget)
-	if inc.lmWinSearches < DefaultStaleWindow {
-		return
-	}
-	below := false
-	if inc.lmWinBudget > 0 {
-		below = 1-float64(inc.lmWinTouched)/float64(inc.lmWinBudget) < inc.lmStaleRatio
-	}
-	first := inc.lmFromRebuild
-	inc.lmFromRebuild = false
-	if !below {
-		inc.lmBarren = 0 // a clearing window re-arms the prune trigger
-	} else if first {
-		inc.lmBarren++ // the rebuild didn't restore pruning power
-	}
-	inc.resetLmWindow()
-	if below && inc.lmBarren < maxBarrenRebuilds {
-		inc.rebuildLandmarks(weight)
-	}
-}
-
-// resetLmWindow restarts the staleness window.
-func (inc *Incremental) resetLmWindow() {
-	inc.lmWinSearches, inc.lmWinTouched, inc.lmWinBudget = 0, 0, 0
 }
 
 // storePath caches a single-target answer in the slot's entry list:
@@ -861,22 +744,11 @@ const (
 	DefaultPolicyCostRatio = 0.25
 )
 
-// Landmark staleness-policy defaults (overridable per cache through
-// OracleConfig). The window is small enough that a long-lived session
-// notices decay within tens of admits but large enough that one
-// unlucky search cannot trigger a rebuild; the default threshold
-// rebuilds once pruning saves less than a fifth of the full-tree work
-// — the regime where the oracle is barely paying for its bound
-// evaluations. A rebuild costs one or two Dijkstras per landmark, so a
-// barren-graph guard stops prune-driven rebuilds after
-// maxBarrenRebuilds consecutive rebuilds that failed to lift the next
-// window back over the threshold.
-const (
-	DefaultStaleWindow     = 32
-	DefaultStalePruneRatio = 0.2
-	DefaultStaleViolations = 4
-	maxBarrenRebuilds      = 2
-)
+// DefaultStaleViolations is the landmark violation budget: how many
+// lower-bound violations may rebuild the tables (safe — the violating
+// weights become the new lower bound) before the oracle permanently
+// disables them instead. Monotone-price solvers never spend it.
+const DefaultStaleViolations = 4
 
 // PreferSingle is the adaptive refresh policy: it reports whether a
 // slot currently fanning out to fanout distinct targets should be
@@ -936,29 +808,25 @@ type CacheStats struct {
 	// search.
 	PathToHits   int64
 	PathToMisses int64
-	// AltSearches counts the PathTo misses answered by the configured
-	// oracle (ALT-pruned or bidirectional search); AltTouched is how
+	// AltSearches counts the PathTo misses answered by the ALT-pruned
+	// oracle search; AltTouched is how
 	// many vertices those searches touched, against AltBudget — the
 	// vertices full tree builds would have touched — so
 	// 1 - AltTouched/AltBudget is the oracle's observed prune rate.
 	AltSearches int64
 	AltTouched  int64
 	AltBudget   int64
-	// BidiProbes / BidiMeets count bidirectional probes and how many of
-	// them bridged their forward and backward frontiers (an unbridged
-	// probe certifies unreachability).
-	BidiProbes int64
-	BidiMeets  int64
 	// PolicyTree / PolicySingle count PreferSingle's adaptive refresh
 	// decisions.
 	PolicyTree   int64
 	PolicySingle int64
 	// LandmarkViolations counts lower-bound violations (zero under the
 	// solvers' monotone-price contract); each one either triggered a
-	// rebuild or, past the StaleViolations budget, disabled the tables.
+	// rebuild or, past the DefaultStaleViolations budget, disabled the
+	// tables.
 	LandmarkViolations int64
-	// LandmarkRebuilds counts landmark table rebuilds — prune-ratio- or
-	// violation-triggered (see OracleConfig.StalePruneRatio).
+	// LandmarkRebuilds counts landmark table rebuilds, each triggered by
+	// a lower-bound violation.
 	LandmarkRebuilds int64
 }
 
@@ -974,8 +842,6 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.AltSearches += o.AltSearches
 	s.AltTouched += o.AltTouched
 	s.AltBudget += o.AltBudget
-	s.BidiProbes += o.BidiProbes
-	s.BidiMeets += o.BidiMeets
 	s.PolicyTree += o.PolicyTree
 	s.PolicySingle += o.PolicySingle
 	s.LandmarkViolations += o.LandmarkViolations
@@ -995,8 +861,7 @@ func (s CacheStats) DirtyRatio() float64 {
 
 // PruneRatio is the fraction of full-tree search work the oracle's
 // pruned searches avoided: 1 - AltTouched/AltBudget. It is 0 when no
-// oracle search has run and can dip negative if bidirectional probes
-// touch more vertices than the tree builds they replace.
+// oracle search has run.
 func (s CacheStats) PruneRatio() float64 {
 	if s.AltBudget == 0 {
 		return 0
@@ -1017,8 +882,6 @@ func (inc *Incremental) CacheStats() CacheStats {
 		AltSearches:        inc.altSearches,
 		AltTouched:         inc.altTouched,
 		AltBudget:          inc.altBudget,
-		BidiProbes:         inc.bidiProbes,
-		BidiMeets:          inc.bidiMeets,
 		PolicyTree:         inc.policyTree,
 		PolicySingle:       inc.policySingle,
 		LandmarkViolations: inc.lmViolations,

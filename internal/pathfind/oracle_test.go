@@ -42,38 +42,6 @@ func TestQuickALTMatchesShortestPathTo(t *testing.T) {
 	}
 }
 
-// TestQuickBidiMatchesShortestPathTo: the bidirectional probe — with
-// and without landmark tightening — is bit-identical to the plain
-// early-exit search under the same monotone-bump regime.
-func TestQuickBidiMatchesShortestPathTo(t *testing.T) {
-	f := func(seed uint64, n, m uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, seed^99))
-		nv := 3 + int(n%12)
-		g := graph.RandomStronglyConnected(rng, nv, nv+int(m%30), 1, 2)
-		w := plateauWeights(rng, g.NumEdges())
-		lm := BuildLandmarks(g, 3, FromSlice(w))
-		sc, fs, bs := NewScratch(nv), NewScratch(nv), NewScratch(nv)
-		for round := 0; round < 3; round++ {
-			for src := 0; src < nv; src++ {
-				for dst := 0; dst < nv; dst++ {
-					wantPath, wantDist, wantOK := sc.ShortestPathTo(g, src, dst, FromSlice(w))
-					for _, tables := range []*Landmarks{nil, lm} {
-						path, dist, ok, _ := bidiPathTo(g, src, dst, FromSlice(w), tables, fs, bs)
-						if ok != wantOK || (ok && (dist != wantDist || !reflect.DeepEqual(path, wantPath))) {
-							return false
-						}
-					}
-				}
-			}
-			monotoneBump(rng, w)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickLandmarkBoundAdmissible: every landmark lower bound is at
 // most the true distance under the build weights and stays admissible
 // after monotone bumps (including +Inf residual flips).
@@ -104,7 +72,7 @@ func TestQuickLandmarkBoundAdmissible(t *testing.T) {
 }
 
 // TestIncrementalOracleEquivalence: an additive Incremental with the
-// full oracle (landmarks + bidirectional probes) answers every PathTo
+// landmark oracle answers every PathTo
 // identically to an oracle-less twin through a monotone bump sequence,
 // with the landmark bound never violated and the oracle actually
 // exercised.
@@ -116,10 +84,7 @@ func TestIncrementalOracleEquivalence(t *testing.T) {
 	sources := []int{0, 3, 7, 11}
 	plain := NewIncremental(g, sources, nil)
 	oracle := NewIncremental(g, sources, nil)
-	oracle.SetOracle(OracleConfig{
-		Landmarks:     BuildLandmarks(g, 4, FromSlice(base)),
-		Bidirectional: true,
-	})
+	oracle.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 4, FromSlice(base))})
 	for round := 0; round < 20; round++ {
 		for slot := range sources {
 			dst := rng.IntN(g.NumVertices())
@@ -138,7 +103,7 @@ func TestIncrementalOracleEquivalence(t *testing.T) {
 	if st.LandmarkViolations != 0 {
 		t.Fatalf("monotone bumps must never violate the landmark bound: %+v", st)
 	}
-	if st.AltSearches == 0 || st.BidiProbes == 0 {
+	if st.AltSearches == 0 {
 		t.Fatalf("oracle never exercised: %+v", st)
 	}
 }
@@ -178,110 +143,45 @@ func TestOracleRebuildsOnBoundViolation(t *testing.T) {
 	}
 }
 
-// TestOracleDisablesOnViolationPastBudget: a negative StaleViolations
-// restores the historical behavior — the first violation disables the
-// tables instead of rebuilding — and a zero budget defaults to
-// DefaultStaleViolations rebuilds before disabling.
+// TestOracleDisablesOnViolationPastBudget: violations rebuild the
+// tables DefaultStaleViolations times, answers matching a fresh search
+// throughout, and the next violation disables the tables for good.
 func TestOracleDisablesOnViolationPastBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	g := graph.RandomStronglyConnected(rng, 20, 60, 1, 2)
 	w := plateauWeights(rng, g.NumEdges())
 	inc := NewIncremental(g, []int{0}, nil)
+	var hookCalls int
 	inc.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 3, FromSlice(w)),
-		StaleViolations: -1,
+		Landmarks: BuildLandmarks(g, 3, FromSlice(w)),
+		OnRebuild: func(_ float64) { hookCalls++ },
 	})
-	inc.PathTo(0, g.NumVertices()-1, FromSlice(w))
-	w[0] /= 4
-	inc.Invalidate([]int{0})
-	for dst := 0; dst < g.NumVertices(); dst++ {
-		inc.PathTo(0, dst, FromSlice(w))
-	}
-	st := inc.CacheStats()
-	if st.LandmarkViolations != 1 || st.LandmarkRebuilds != 0 {
-		t.Fatalf("negative budget must disable without rebuilding: %+v", st)
-	}
-	if inc.lmOK {
-		t.Fatal("tables still enabled after budget-less violation")
-	}
-
-	// Default budget: violations rebuild until the budget runs out, then
-	// the tables disable for good.
-	inc2 := NewIncremental(g, []int{0}, nil)
-	w2 := plateauWeights(rng, g.NumEdges())
-	inc2.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 3, FromSlice(w2))})
 	sc := NewScratch(g.NumVertices())
 	for i := 0; i <= DefaultStaleViolations; i++ {
 		dst := (i + 1) % g.NumVertices()
-		w2[i] /= 4 // violate one build-time bound per round
-		inc2.Invalidate([]int{i})
-		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w2))
-		path, dist, ok := inc2.PathTo(0, dst, FromSlice(w2))
+		w[i] /= 4 // violate one build-time bound per round
+		inc.Invalidate([]int{i})
+		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w))
+		path, dist, ok := inc.PathTo(0, dst, FromSlice(w))
 		if ok != wantOK || dist != wantDist || !reflect.DeepEqual(path, wantPath) {
 			t.Fatalf("round %d: answer diverged", i)
 		}
-	}
-	st2 := inc2.CacheStats()
-	if st2.LandmarkRebuilds != int64(DefaultStaleViolations) {
-		t.Fatalf("want %d violation rebuilds, got %+v", DefaultStaleViolations, st2)
-	}
-	if inc2.lmOK {
-		t.Fatal("tables must disable once the violation budget is spent")
-	}
-}
-
-// TestOracleStalenessRebuild: an aggressive StalePruneRatio forces a
-// staleness rebuild after one observation window, the rebuild counter
-// advances, the OnRebuild hook observes it, and answers stay identical
-// to an oracle-less twin throughout.
-func TestOracleStalenessRebuild(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 19))
-	g := graph.RandomStronglyConnected(rng, 40, 140, 1, 2)
-	w := plateauWeights(rng, g.NumEdges())
-	plain := NewIncremental(g, []int{0}, nil)
-	inc := NewIncremental(g, []int{0}, nil)
-	var hookCalls int
-	inc.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 4, FromSlice(w)),
-		StalePruneRatio: 0.999, // essentially every window is "stale"
-		OnRebuild:       func(_ float64) { hookCalls++ },
-	})
-	for round := 0; round < 3*DefaultStaleWindow; round++ {
-		dst := rng.IntN(g.NumVertices())
-		p1, d1, ok1 := plain.PathTo(0, dst, FromSlice(w))
-		p2, d2, ok2 := inc.PathTo(0, dst, FromSlice(w))
-		if ok1 != ok2 || d1 != d2 || !reflect.DeepEqual(p1, p2) {
-			t.Fatalf("round %d dst %d: rebuilt oracle diverged", round, dst)
+		if i < DefaultStaleViolations && !inc.lmOK {
+			t.Fatalf("round %d: tables disabled inside the violation budget", i)
 		}
-		touched := monotoneBump(rng, w)
-		plain.Invalidate(touched)
-		inc.Invalidate(touched)
 	}
 	st := inc.CacheStats()
-	if st.LandmarkRebuilds == 0 {
-		t.Fatalf("aggressive threshold never rebuilt: %+v", st)
+	if st.LandmarkViolations != int64(DefaultStaleViolations)+1 {
+		t.Fatalf("want %d violations, got %+v", DefaultStaleViolations+1, st)
+	}
+	if st.LandmarkRebuilds != int64(DefaultStaleViolations) {
+		t.Fatalf("want %d violation rebuilds, got %+v", DefaultStaleViolations, st)
 	}
 	if int64(hookCalls) != st.LandmarkRebuilds {
 		t.Fatalf("OnRebuild saw %d calls, counter says %d", hookCalls, st.LandmarkRebuilds)
 	}
-	// The barren guard caps back-to-back fruitless rebuilds: with an
-	// unattainable threshold the rebuild count stays far below one per
-	// window.
-	if st.LandmarkRebuilds > int64(maxBarrenRebuilds)+1 {
-		t.Fatalf("barren guard failed to cap rebuilds: %+v", st)
-	}
-
-	// A negative threshold disables staleness rebuilds entirely.
-	inc2 := NewIncremental(g, []int{0}, nil)
-	inc2.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 4, FromSlice(w)),
-		StalePruneRatio: -1,
-	})
-	for round := 0; round < 2*DefaultStaleWindow; round++ {
-		inc2.PathTo(0, rng.IntN(g.NumVertices()), FromSlice(w))
-	}
-	if st := inc2.CacheStats(); st.LandmarkRebuilds != 0 {
-		t.Fatalf("negative threshold must never rebuild: %+v", st)
+	if inc.lmOK {
+		t.Fatal("tables must disable once the violation budget is spent")
 	}
 }
 

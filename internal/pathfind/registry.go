@@ -27,10 +27,13 @@ import (
 // Entries are kept in most-recently-used order and the least recently
 // used is evicted past the capacity.
 //
-// Staleness rebuilds (Incremental's lifecycle policy) bypass the
-// registry on purpose: a rebuilt set is bound to one session's private
-// price trajectory, which no other session will ever fingerprint-match,
-// so caching it would only churn the LRU.
+// Tables built from the floor prices 1/c_e stay valid for a whole run,
+// since prices only rise, so one registry entry serves a topology for
+// its lifetime. The only rebuild, after a lower-bound violation
+// (Incremental's violation budget), bypasses the registry on purpose:
+// a rebuilt set is bound to one cache's private price trajectory,
+// which no other cache will ever fingerprint-match, so caching it
+// would only churn the LRU.
 type LandmarkRegistry struct {
 	mu      sync.Mutex
 	entries []*registryEntry // most-recently-used first

@@ -320,8 +320,7 @@ func (s *Scratch) ShortestPathTo(g *graph.Graph, src, dst int, weight WeightFunc
 // explicit CSR — the forward or reverse adjacency — leaving the result
 // in the scratch state (dist/prevE/prevV over s.order) instead of
 // materializing a Tree. Tie-break and semantics match Dijkstra.
-// Landmark table construction and the backward half of the
-// bidirectional probe run on this.
+// Landmark table construction runs on this.
 func (s *Scratch) runAdditiveCSR(csr *graph.CSR, n int, src int32, weight WeightFunc) {
 	s.reset(n)
 	s.touch(src)

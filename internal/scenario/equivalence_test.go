@@ -117,9 +117,8 @@ func TestCatalogIncrementalEquivalence(t *testing.T) {
 }
 
 // TestCatalogOracleEquivalence is the next-gen path oracle's
-// acceptance gate over the full S1 catalog: ALT landmark pruning,
-// bidirectional probes, and the adaptive refresh policy produce
-// byte-identical results to the uncached, unpruned solver — for the
+// acceptance gate over the full S1 catalog: ALT landmark pruning and
+// the adaptive refresh policy produce byte-identical results to the uncached, unpruned solver — for the
 // batch solver, the reasonable iterative engine, and the online
 // admission path. The oracle may only move work, never answers.
 func TestCatalogOracleEquivalence(t *testing.T) {
@@ -142,7 +141,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, err := core.SolveUFP(inst, eps, &core.Options{
-					Adaptive: true, Landmarks: lm, Bidirectional: true,
+					Adaptive: true, Landmarks: lm,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -160,7 +159,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 				}
 				egot, err := core.IterativePathMin(inst, core.EngineOptions{
 					Rule: &core.ExpRule{}, Eps: eps, UseDualStop: true,
-					Adaptive: true, Landmarks: true, Bidirectional: true,
+					Adaptive: true, Landmarks: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -174,9 +173,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ogot, err := core.OnlineAdmission(inst, eps, &core.Options{
-					Landmarks: lm, Bidirectional: true,
-				})
+				ogot, err := core.OnlineAdmission(inst, eps, &core.Options{Landmarks: lm})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,12 +63,6 @@ type Config struct {
 	// defaults.
 	PolicyWarmup    int
 	PolicyCostRatio float64
-	// LandmarkStaleRatio tunes the landmark lifecycle's prune-ratio
-	// rebuild threshold for every session's oracle (see core.Options /
-	// pathfind.OracleConfig.StalePruneRatio); zero keeps
-	// pathfind.DefaultStalePruneRatio, negative disables prune-driven
-	// rebuilds.
-	LandmarkStaleRatio float64
 }
 
 // Stats is a point-in-time view of a Manager's counters.
@@ -118,8 +112,8 @@ type Manager struct {
 	admitLatency *metrics.Histogram
 	quoteLatency *metrics.Histogram
 
-	// lmRebuilds / lmRebuildLatency observe the landmark lifecycle: the
-	// oracle's staleness policy rebuilds a session's tables in-place, and
+	// lmRebuilds / lmRebuildLatency observe landmark rebuilds: a
+	// lower-bound violation rebuilds a session's tables in place, and
 	// a per-session CacheStats sum would shrink on eviction — so the
 	// rebuild count and duration are accumulated manager-side through
 	// core.Options.OnLandmarkRebuild, keeping the exported counter
@@ -160,10 +154,9 @@ func (m *Manager) Register(g *graph.Graph, eps float64) (*Session, error) {
 		PathPool: m.pool,
 		// Auto-built landmark tables come from the process-wide registry,
 		// so shards and sessions serving the same topology share one set.
-		LandmarkRegistry:   pathfind.SharedLandmarks,
-		LandmarkStaleRatio: m.cfg.LandmarkStaleRatio,
-		PolicyWarmup:       m.cfg.PolicyWarmup,
-		PolicyCostRatio:    m.cfg.PolicyCostRatio,
+		LandmarkRegistry: pathfind.SharedLandmarks,
+		PolicyWarmup:     m.cfg.PolicyWarmup,
+		PolicyCostRatio:  m.cfg.PolicyCostRatio,
 		// The hook fires under the session's lock mid-Admit; both sinks
 		// are concurrency-safe, so it stays cheap and lock-free here.
 		OnLandmarkRebuild: func(seconds float64) {
@@ -310,14 +303,10 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 		func(s pathfind.CacheStats) float64 { return float64(s.PathToMisses) })
 	pcGauge("ufp_pathcache_dirty_ratio", "Fraction of demanded structures recomputed (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.DirtyRatio() })
-	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT/bidirectional oracle (live sessions).",
+	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT landmark oracle (live sessions).",
 		func(s pathfind.CacheStats) float64 { return float64(s.AltSearches) })
 	pcGauge("ufp_pathcache_oracle_prune_ratio", "Fraction of the full-tree vertex budget the oracle's searches skipped (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.PruneRatio() })
-	pcGauge("ufp_pathcache_bidi_probes", "Bidirectional probes run (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiProbes) })
-	pcGauge("ufp_pathcache_bidi_meets", "Bidirectional probes whose frontiers bridged (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiMeets) })
 	policy := reg.NewGaugeFamily("ufp_pathcache_policy_decisions",
 		"Adaptive refresh-policy decisions, split by chosen serving mode (live sessions).", "mode")
 	policy.GaugeFunc(func() float64 { return float64(m.PathCacheStats().PolicyTree) }, "tree")
@@ -325,7 +314,7 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
 	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by the staleness policy or a bound violation (monotone; survives session eviction).",
+		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction).",
 		m.lmRebuilds.Load)
 	reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
 		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
@@ -501,18 +490,15 @@ type Info struct {
 	PathReused     int64 `json:"pathReused"`
 	// OracleSearches / OraclePruneRatio profile the cache's next-gen
 	// single-target oracle: searches it answered, and the fraction of
-	// the full-tree vertex budget its pruning skipped. BidiProbes /
-	// BidiMeets split the bidirectional probes; PolicyTree /
+	// the full-tree vertex budget its pruning skipped. PolicyTree /
 	// PolicySingle count the adaptive refresh policy's decisions.
 	OracleSearches   int64   `json:"oracleSearches"`
 	OraclePruneRatio float64 `json:"oraclePruneRatio"`
-	BidiProbes       int64   `json:"bidiProbes"`
-	BidiMeets        int64   `json:"bidiMeets"`
 	PolicyTree       int64   `json:"policyTree"`
 	PolicySingle     int64   `json:"policySingle"`
-	// LandmarkRebuilds counts this session's landmark table rebuilds —
-	// the staleness policy re-selecting landmarks against the current
-	// price snapshot.
+	// LandmarkRebuilds counts this session's landmark table rebuilds,
+	// each triggered by a price below the tables' recorded lower bound
+	// (zero under the admission contract, where prices only rise).
 	LandmarkRebuilds int64     `json:"landmarkRebuilds"`
 	Created          time.Time `json:"created"`
 	LastUsed         time.Time `json:"lastUsed"`
@@ -545,8 +531,6 @@ func (s *Session) Info() (Info, error) {
 		PathReused:       reu,
 		OracleSearches:   cs.AltSearches,
 		OraclePruneRatio: cs.PruneRatio(),
-		BidiProbes:       cs.BidiProbes,
-		BidiMeets:        cs.BidiMeets,
 		PolicyTree:       cs.PolicyTree,
 		PolicySingle:     cs.PolicySingle,
 		LandmarkRebuilds: cs.LandmarkRebuilds,

@@ -469,14 +469,10 @@ func (r *Router) registerAggregates(reg *metrics.Registry) {
 		func(s pathfind.CacheStats) float64 { return float64(s.PathToMisses) })
 	pcGauge("ufp_pathcache_dirty_ratio", "Fraction of demanded structures recomputed (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.DirtyRatio() })
-	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT/bidirectional oracle (live sessions).",
+	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT landmark oracle (live sessions).",
 		func(s pathfind.CacheStats) float64 { return float64(s.AltSearches) })
 	pcGauge("ufp_pathcache_oracle_prune_ratio", "Fraction of the full-tree vertex budget the oracle's searches skipped (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.PruneRatio() })
-	pcGauge("ufp_pathcache_bidi_probes", "Bidirectional probes run (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiProbes) })
-	pcGauge("ufp_pathcache_bidi_meets", "Bidirectional probes whose frontiers bridged (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiMeets) })
 	policy := reg.NewGaugeFamily("ufp_pathcache_policy_decisions",
 		"Adaptive refresh-policy decisions, split by chosen serving mode (live sessions).", "mode")
 	policy.GaugeFunc(func() float64 { return float64(pc().PolicyTree) }, "tree")
@@ -484,7 +480,7 @@ func (r *Router) registerAggregates(reg *metrics.Registry) {
 	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
 	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by the staleness policy or a bound violation (monotone; survives session eviction).",
+		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction).",
 		func(b *backend) int64 { return b.eng.Sessions().LandmarkRebuilds() })
 	rebuildF := reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
 		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
